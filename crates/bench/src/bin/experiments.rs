@@ -49,6 +49,6 @@ fn main() {
     run("e17", ex::e17_serve_mixed);
     run("e18", ex::e18_store);
     run("e19", ex::e19_adaptive);
-    run("e20", ex::e20_topology);
+    run("e20", ex::e20_scaling);
     run("e21", ex::e21_durability);
 }

@@ -1033,20 +1033,15 @@ pub fn e19_adaptive(quick: bool) -> Table {
     t
 }
 
-/// E20: topology-aware scaling — the default solver on a sharded store
-/// (the sticky-affinity path) swept over worker-pool sizes, reporting
-/// wall, speedup vs the 1-thread run, and parallel efficiency
-/// (speedup / threads). The title carries the detected topology; when
-/// `PARCC_E20_JSON` names a path, the same rows are also written there as
-/// JSON (CI's scaling-smoke job uploads it as `BENCH_topology.json`).
+/// E20: thread scaling — the default solver on a sharded store swept
+/// over worker-pool sizes, reporting wall, speedup vs the 1-thread run,
+/// and parallel efficiency (speedup / threads). When `PARCC_E20_JSON`
+/// names a path, the same rows are also written there as JSON (CI's
+/// scaling-smoke job uploads it as `BENCH_topology.json`).
 #[must_use]
-pub fn e20_topology(quick: bool) -> Table {
-    let topo = rayon::topology::current();
+pub fn e20_scaling(quick: bool) -> Table {
     let mut t = Table::new(
-        format!(
-            "E20 — topology-aware scaling: NUMA-local stealing + sticky shards ({})",
-            topo.summary()
-        ),
+        "E20 — thread scaling: default solver on a sharded store",
         &["threads", "n", "m", "wall ms", "speedup", "efficiency"],
     );
     let n = if quick { 1 << 15 } else { 1 << 19 };
@@ -1095,10 +1090,8 @@ pub fn e20_topology(quick: bool) -> Table {
     }
     if let Ok(path) = std::env::var("PARCC_E20_JSON") {
         let body = format!(
-            "{{\n  \"workload\": \"expander n={} d=8 (sharded x8), seed 5, best of 3\",\n  \"topology\": \"{}\",\n  \"pinning\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"workload\": \"expander n={} d=8 (sharded x8), seed 5, best of 3\",\n  \"rows\": [\n{}\n  ]\n}}\n",
             g.n(),
-            topo.summary(),
-            rayon::topology::pinning_enabled(),
             json_rows.join(",\n")
         );
         if let Err(e) = std::fs::write(&path, body) {
@@ -1245,7 +1238,7 @@ pub fn all(quick: bool) -> Vec<Table> {
         e17_serve_mixed(quick),
         e18_store(quick),
         e19_adaptive(quick),
-        e20_topology(quick),
+        e20_scaling(quick),
         e21_durability(quick),
     ]
 }

@@ -24,7 +24,6 @@ impl PaperSolver {
         let mut remain_rounds = 0;
         let mut remain_edges = 0;
         let mut arena_peak = 0;
-        let mut arena_groups = None;
         let report = SolveReport::measure(ctx, |tracker| {
             let params = Params::for_n(n).with_seed(ctx.seed);
             let (labels, stats) = connectivity_sharded(n, shards, &params, tracker);
@@ -32,22 +31,17 @@ impl PaperSolver {
             remain_rounds = stats.remain.rounds;
             remain_edges = stats.remain_edges;
             arena_peak = stats.arena_peak_bytes;
-            arena_groups = stats.arena_groups.clone();
             let phases = stats.phases.len() as u64;
             (labels, Some(phases))
         });
-        let report = report
+        report
             .note(
                 "solved_at_phase",
                 solved_at.map_or_else(|| "safety".into(), |p| p.to_string()),
             )
             .note("remain_edges", remain_edges)
             .note("remain_rounds", remain_rounds)
-            .note("arena_peak_bytes", arena_peak);
-        match arena_groups {
-            Some(g) => report.note("arena_nodes", g),
-            None => report,
-        }
+            .note("arena_peak_bytes", arena_peak)
     }
 }
 

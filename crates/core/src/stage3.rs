@@ -27,7 +27,7 @@ use parcc_pram::primitives::{sample_edges, simplify_edges};
 use parcc_pram::rng::Stream;
 
 /// Telemetry from SAMPLESOLVE.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SolveStats {
     /// Edges in the sampled subgraph handed to Theorem 2.
     pub sampled_edges: usize,

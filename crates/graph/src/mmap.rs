@@ -711,7 +711,7 @@ impl GraphStore for MappedGraph {
         MappedGraph::shard(self, i)
     }
 
-    /// Per-shard private histograms, sticky-scheduled and summed in shard
+    /// Per-shard private histograms, built in parallel and summed in shard
     /// order — the same lazily-merged scheme as `ShardedGraph`, so the
     /// result is identical to the flat graph's at any thread count. Cached.
     fn degrees(&self) -> &[u32] {

@@ -7,14 +7,13 @@
 //! * [`Graph`] — the original flat representation: one packed edge vector.
 //!   Exposed as a single-shard store; `to_flat` borrows, so routing a flat
 //!   graph through the store seam costs nothing.
-//! * [`ShardedGraph`] — edges partitioned into `k` cache/NUMA-sized
-//!   shards, each an independently owned vector with its own degree
-//!   histogram. Degrees are folded per shard in parallel and merged
-//!   lazily (cached on first use), and the CSR adjacency is assembled by
-//!   a parallel per-shard half-edge expansion. This is the seam the
-//!   ROADMAP's distributed/NUMA and streaming items build on: a shard is
-//!   the unit a loader streams, a generator emits, and a solver's stage-1
-//!   consumes, so the flat edge list never has to materialize.
+//! * [`ShardedGraph`] — edges partitioned into `k` cache-sized shards,
+//!   each an independently owned vector with its own degree histogram.
+//!   Degrees are folded per shard in parallel and merged lazily (cached
+//!   on first use), and the CSR adjacency is assembled by a parallel
+//!   per-shard half-edge expansion. A shard is the unit a loader streams,
+//!   a generator emits, and a solver's stage-1 consumes, so the flat edge
+//!   list never has to materialize.
 //!
 //! The shards *are* the parallel chunks: `shard(i)` hands back a
 //! contiguous slice, and [`par_map_shards`] / [`shard_slices`] give
@@ -308,10 +307,9 @@ impl GraphStore for ShardedGraph {
         ShardedGraph::shard(self, i)
     }
 
-    /// Per-shard private histograms built sticky-scheduled (shard `i` on
-    /// its stable node group) and summed in shard order — integer sums
-    /// commute, so the result is identical to the flat graph's at any
-    /// thread count. Cached.
+    /// Per-shard private histograms built in parallel and summed in shard
+    /// order — integer sums commute, so the result is identical to the flat
+    /// graph's at any thread count. Cached.
     fn degrees(&self) -> &[u32] {
         self.degrees.get_or_init(|| {
             merge_degree_histograms(self.n, par_map_shards(self, shard_histogram(self.n)))
@@ -319,7 +317,7 @@ impl GraphStore for ShardedGraph {
     }
 
     /// Parallel per-shard CSR build: every shard expands its edges into
-    /// directed half-edges (sticky-scheduled), the per-shard halves are
+    /// directed half-edges in parallel, the per-shard halves are
     /// concatenated in shard order, and offsets come from the lazily
     /// merged degree vector. Same packing and finish as the flat
     /// backend's parallel path ([`Csr::half_words`] /
@@ -357,22 +355,22 @@ pub fn concat_edges<S: GraphStore + ?Sized>(store: &S) -> Vec<Edge> {
 
 /// Map `f` over `(shard_index, shard_edges)` pairs in parallel — the
 /// chunked parallel edge iteration the trait promises, with the shards as
-/// the chunks.
-///
-/// Scheduling is *sticky*: shard `i` is banded onto a stable topology node
-/// group (`rayon::sticky`), so repeated passes over the same store (degree
-/// histograms, then CSR, then stage 1) revisit each shard on workers whose
-/// caches already hold it. Results come back in shard order regardless.
+/// the chunks. Shard counts are small, so each shard may run as its own
+/// pool chunk (`with_min_len(1)`); results come back in shard order.
 pub fn par_map_shards<S, T, F>(store: &S, f: F) -> Vec<T>
 where
     S: GraphStore + ?Sized,
     T: Send,
     F: Fn(usize, &[Edge]) -> T + Sync + Send,
 {
-    rayon::sticky::map(store.shard_count(), |i| f(i, store.shard(i)))
+    (0..store.shard_count())
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|i| f(i, store.shard(i)))
+        .collect()
 }
 
-/// Per-shard degree histogram — the sticky-mapped unit shared by the
+/// Per-shard degree histogram — the [`par_map_shards`] unit shared by the
 /// sharded and mapped backends.
 pub(crate) fn shard_histogram(n: usize) -> impl Fn(usize, &[Edge]) -> Vec<u32> {
     move |_, shard| Graph::degree_histogram(n, shard)

@@ -308,11 +308,14 @@ impl Wal {
             }
             return Err(failpoint::as_io_error("wal-append", kind));
         }
-        let result = self.file.write_all(&record).and_then(|()| match self.policy {
-            SyncPolicy::Batch => self.sync(),
-            SyncPolicy::Interval(every) if self.last_sync.elapsed() >= every => self.sync(),
-            SyncPolicy::Interval(_) | SyncPolicy::Off => Ok(()),
-        });
+        let result = self
+            .file
+            .write_all(&record)
+            .and_then(|()| match self.policy {
+                SyncPolicy::Batch => self.sync(),
+                SyncPolicy::Interval(every) if self.last_sync.elapsed() >= every => self.sync(),
+                SyncPolicy::Interval(_) | SyncPolicy::Off => Ok(()),
+            });
         if let Err(e) = result {
             // The record is absent, torn, or not durable: drop whatever
             // made it past the committed boundary (best-effort — open()
@@ -415,6 +418,12 @@ mod tests {
         }
     }
 
+    /// Hold the failpoint test lock unarmed, so a `wal-append` rule armed
+    /// by a concurrently running test cannot fire on this test's appends.
+    fn serial() -> failpoint::Scoped {
+        failpoint::scoped("")
+    }
+
     fn batch(base: u32, len: u32) -> Vec<Edge> {
         (0..len)
             .map(|i| Edge::new(base + i, base + i + 1))
@@ -423,6 +432,7 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrip() {
+        let _fp = serial();
         let tmp = TempPath::new("roundtrip");
         let batches = vec![batch(0, 3), batch(10, 1), Vec::new(), batch(20, 5)];
         {
@@ -443,6 +453,7 @@ mod tests {
 
     #[test]
     fn compact_empties_the_log_and_appends_continue() {
+        let _fp = serial();
         let tmp = TempPath::new("compact");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap();
         wal.append(&batch(0, 4)).unwrap();
@@ -457,6 +468,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_the_prefix_survives() {
+        let _fp = serial();
         let tmp = TempPath::new("torn");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap();
         wal.append(&batch(0, 3)).unwrap();
@@ -477,6 +489,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_byte_cuts_the_replay_at_that_record() {
+        let _fp = serial();
         let tmp = TempPath::new("corrupt");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap();
         wal.append(&batch(0, 2)).unwrap();
@@ -493,6 +506,7 @@ mod tests {
 
     #[test]
     fn refuses_files_it_did_not_write() {
+        let _fp = serial();
         let tmp = TempPath::new("foreign");
         std::fs::write(&tmp.0, b"definitely not a WAL file").unwrap();
         let err = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap_err();
@@ -508,6 +522,7 @@ mod tests {
 
     #[test]
     fn interval_and_off_policies_defer_syncs() {
+        let _fp = serial();
         let tmp = TempPath::new("policies");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Off).unwrap();
         for i in 0..10 {
@@ -527,6 +542,7 @@ mod tests {
 
     #[test]
     fn oversized_batches_split_into_replayable_records() {
+        let _fp = serial();
         // The real cap implies gigabyte batches; shrink it to prove the
         // splitting logic, and check the cap arithmetic separately.
         assert_eq!(MAX_RECORD_EDGES * 8, MAX_RECORD_BYTES as usize);

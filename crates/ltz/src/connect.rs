@@ -46,7 +46,7 @@ impl LtzParams {
 }
 
 /// Telemetry from a Theorem-2 run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LtzStats {
     /// EXPAND-MAXLINK rounds executed.
     pub rounds: u64,
@@ -61,9 +61,6 @@ pub struct LtzStats {
     pub table_slots: u64,
     /// High-water bytes retained by the engine's reusable buffer pool.
     pub arena_peak_bytes: u64,
-    /// Per-node pool checkout summary (`n0:t=..,m=..|n1:..`) when more
-    /// than one topology group served checkouts.
-    pub arena_groups: Option<String>,
 }
 
 /// Compute connected components of the graph `(forest's vertex set, edges)`,
@@ -90,7 +87,6 @@ pub fn ltz_connectivity(
     stats.max_level = stats.max_level.max(1);
     stats.table_slots = engine.st.slots_allocated();
     stats.arena_peak_bytes = engine.arena_stats().peak_bytes;
-    stats.arena_groups = engine.arena_group_summary();
     if !engine.is_done() {
         // Safety net: contract whatever is left, deterministically.
         stats.fallback_engaged = true;

@@ -110,12 +110,6 @@ impl LtzEngine {
         self.arena.stats()
     }
 
-    /// Per-node checkout summary of the pool, when >1 group saw traffic.
-    #[must_use]
-    pub fn arena_group_summary(&self) -> Option<String> {
-        self.arena.group_summary()
-    }
-
     /// All components contracted (no current-graph vertices left)?
     #[must_use]
     pub fn is_done(&self) -> bool {

@@ -30,7 +30,6 @@ impl LtzSolver {
         let mut note_level = 0;
         let mut note_dedup = 0usize;
         let mut note_arena_peak = 0u64;
-        let mut note_arena_groups = None;
         let report = SolveReport::measure(ctx, |tracker| {
             let forest = ParentForest::new(n);
             let simplified = parcc_pram::primitives::simplify_edges(&edges, true, tracker);
@@ -45,18 +44,13 @@ impl LtzSolver {
             note_fallback = stats.fallback_engaged;
             note_level = stats.max_level;
             note_arena_peak = stats.arena_peak_bytes;
-            note_arena_groups = stats.arena_groups.clone();
             (forest.labels(tracker), Some(stats.rounds))
         });
-        let report = report
+        report
             .note("fallback", note_fallback)
             .note("max_level", note_level)
             .note("dedup_removed", note_dedup)
-            .note("arena_peak_bytes", note_arena_peak);
-        match note_arena_groups {
-            Some(g) => report.note("arena_nodes", g),
-            None => report,
-        }
+            .note("arena_peak_bytes", note_arena_peak)
     }
 }
 

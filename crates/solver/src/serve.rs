@@ -300,8 +300,16 @@ mod tests {
     use parcc_graph::traverse::{components, same_partition};
     use parcc_graph::Graph;
 
+    /// Hold the failpoint test lock unarmed, so a `serve-merge` rule armed
+    /// by a concurrently running test cannot fire on this engine's merge
+    /// thread.
+    fn serial() -> parcc_pram::failpoint::Scoped {
+        parcc_pram::failpoint::scoped("")
+    }
+
     #[test]
     fn epoch_zero_covers_the_initial_state() {
+        let _fp = serial();
         let g = gen::cycle(6);
         let mut state = begin_incremental("union-find", 0).unwrap();
         state.absorb_batch(g.edges());
@@ -316,6 +324,7 @@ mod tests {
 
     #[test]
     fn flush_is_a_read_barrier_and_answers_match_oracle() {
+        let _fp = serial();
         let g = gen::gnp(200, 0.02, 3);
         let edges = g.edges();
         let engine = ServeEngine::start(begin_incremental("union-find", 0).unwrap());
@@ -338,6 +347,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshots_are_immutable_under_writes() {
+        let _fp = serial();
         let engine = ServeEngine::start(begin_incremental("union-find", 4).unwrap());
         let pinned = engine.snapshot();
         assert!(!pinned.same_component(0, 1));
@@ -351,6 +361,7 @@ mod tests {
 
     #[test]
     fn coalescing_keeps_epochs_at_most_batches() {
+        let _fp = serial();
         let engine = ServeEngine::start(begin_incremental("union-find", 64).unwrap());
         for i in 0..40u32 {
             engine.submit_batch(vec![Edge::new(i, i + 1)]);

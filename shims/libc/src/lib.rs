@@ -4,7 +4,6 @@
 #![allow(
     non_camel_case_types,
     non_upper_case_globals,
-    non_snake_case,
     clippy::upper_case_acronyms
 )]
 
@@ -34,37 +33,6 @@ pub type size_t = usize;
 pub type off_t = i64;
 /// C `long`.
 pub type c_long = i64;
-/// POSIX `pid_t` (Linux/LP64). `0` names the calling thread in the
-/// scheduling calls below.
-pub type pid_t = i32;
-
-/// glibc `cpu_set_t`: a fixed 1024-bit CPU mask (128 bytes), matching the
-/// glibc ABI layout exactly. Use [`CPU_SET`]/[`CPU_ISSET`] to manipulate it.
-#[repr(C)]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct cpu_set_t {
-    bits: [u64; 16],
-}
-
-/// `CPU_ZERO`: a cleared CPU mask.
-#[must_use]
-pub fn CPU_ZERO() -> cpu_set_t {
-    cpu_set_t::default()
-}
-
-/// `CPU_SET`: mark `cpu` in the mask. CPUs past the 1024-bit mask are
-/// ignored (same as the glibc macro on an overflowing index).
-pub fn CPU_SET(cpu: usize, set: &mut cpu_set_t) {
-    if cpu < 1024 {
-        set.bits[cpu / 64] |= 1u64 << (cpu % 64);
-    }
-}
-
-/// `CPU_ISSET`: whether `cpu` is marked in the mask.
-#[must_use]
-pub fn CPU_ISSET(cpu: usize, set: &cpu_set_t) -> bool {
-    cpu < 1024 && set.bits[cpu / 64] & (1u64 << (cpu % 64)) != 0
-}
 
 /// `PROT_READ`: pages may be read.
 pub const PROT_READ: c_int = 1;
@@ -119,14 +87,6 @@ extern "C" {
 extern "C" {
     /// `posix_fadvise(2)` — Linux-only here (absent on macOS).
     pub fn posix_fadvise(fd: c_int, offset: off_t, len: off_t, advice: c_int) -> c_int;
-
-    /// `sched_setaffinity(2)` — pin a thread (`pid == 0` names the caller)
-    /// to the CPUs marked in `mask`. Linux-only; the topology layer treats
-    /// failure as advisory.
-    pub fn sched_setaffinity(pid: pid_t, cpusetsize: size_t, mask: *const cpu_set_t) -> c_int;
-
-    /// `sched_getaffinity(2)` — read the calling thread's CPU mask.
-    pub fn sched_getaffinity(pid: pid_t, cpusetsize: size_t, mask: *mut cpu_set_t) -> c_int;
 }
 
 #[cfg(all(test, unix))]
@@ -142,36 +102,6 @@ mod tests {
             page.count_ones() == 1,
             "page size {page} not a power of two"
         );
-    }
-
-    #[test]
-    fn cpu_set_bit_ops() {
-        let mut set = CPU_ZERO();
-        assert!(!CPU_ISSET(0, &set));
-        CPU_SET(0, &mut set);
-        CPU_SET(63, &mut set);
-        CPU_SET(64, &mut set);
-        CPU_SET(1023, &mut set);
-        CPU_SET(5000, &mut set); // out of range: ignored
-        for cpu in [0, 63, 64, 1023] {
-            assert!(CPU_ISSET(cpu, &set), "cpu {cpu}");
-        }
-        assert!(!CPU_ISSET(1, &set));
-        assert!(!CPU_ISSET(5000, &set));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn affinity_roundtrip_to_current_mask() {
-        let mut cur = CPU_ZERO();
-        // SAFETY: valid pointer to a full-size mask; pid 0 is the caller.
-        let rc = unsafe { sched_getaffinity(0, std::mem::size_of::<cpu_set_t>(), &mut cur) };
-        assert_eq!(rc, 0);
-        assert!((0..1024).any(|c| CPU_ISSET(c, &cur)));
-        // Re-applying the current mask must be accepted.
-        // SAFETY: same valid mask, now passed read-only.
-        let rc = unsafe { sched_setaffinity(0, std::mem::size_of::<cpu_set_t>(), &cur) };
-        assert_eq!(rc, 0);
     }
 
     #[test]

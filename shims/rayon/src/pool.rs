@@ -5,27 +5,15 @@
 //! One process-wide pool is created lazily on first use. It owns `W` worker
 //! threads, each with its own mutex-protected deque of [`JobRef`]s. A thread
 //! submitting a batch of chunks pushes `effective_threads - 1` *executor*
-//! jobs across the worker deques, then becomes an executor itself: every
-//! executor pulls chunk indices off the batch's shared counter until none
-//! remain, so at most the effective thread count of threads run a batch
-//! concurrently even though the pool's capacity is larger, while chunks
-//! still balance dynamically across whoever shows up. Workers pop from the
-//! front of their own deque and steal from the back of the others, parking
-//! on a condvar when every deque is empty.
-//!
-//! ## Topology awareness
-//!
-//! Deques are grouped by NUMA node (`crate::topology`): workers fill CPUs
-//! node-major, each worker optionally pins itself to its node's CPU set on
-//! spawn (`PARCC_PIN=0` opts out), stealing exhausts the home node's deques
-//! before touching remote nodes, and submitters interleave pushes across
-//! nodes (round-robin over nodes, round-robin over each node's deques). The
-//! sticky variant ([`run_batch_sticky`]) additionally *bands* chunk indices
-//! onto node groups — chunk `i` belongs to node `i·nodes/chunks` — so
-//! repeated batches over the same chunk space (per-shard histograms, CSR
-//! builds) keep shard `i` on a stable worker group; executors drain their
-//! own node's band before stealing from remote bands. On a single-node box
-//! every grouping collapses to the previous flat round-robin behavior.
+//! jobs round-robin across the worker deques, then becomes an executor
+//! itself: every executor pulls chunk indices off the batch's shared counter
+//! until none remain, so at most the effective thread count of threads run a
+//! batch concurrently even though the pool's capacity is larger, while
+//! chunks still balance dynamically across whoever shows up. Workers pop
+//! from the front of their own deque and steal from the back of the others,
+//! scanning onward from their own index, and park on a condvar when every
+//! deque is empty. The pool is flat — the PRAM the solvers model has
+//! uniform memory — so no worker is pinned and no deque is preferred.
 //!
 //! Jobs are type-erased raw pointers into the submitting thread's stack
 //! frame. This is sound because a batch submitter never returns before every
@@ -81,84 +69,47 @@ impl JobRef {
 }
 
 struct Shared {
-    /// One deque per worker thread, grouped by topology node.
+    /// One deque per worker thread; submitters push round-robin.
     queues: Vec<Mutex<VecDeque<JobRef>>>,
-    /// Home node of each worker/queue index.
-    queue_node: Vec<usize>,
-    /// Per node: the queue indices living on it (possibly empty when the
-    /// pool is narrower than the node count).
-    node_queues: Vec<Vec<usize>>,
-    /// Per-node round-robin push cursors.
-    node_cursors: Vec<AtomicUsize>,
     /// Jobs pushed but not yet popped (sleep/wake protocol).
     pending: AtomicUsize,
     /// Guards the park/notify handshake.
     gate: Mutex<()>,
     cond: Condvar,
-    /// Round-robin *node* selector for interleaved pushes.
+    /// Round-robin push cursor.
     cursor: AtomicUsize,
 }
 
 impl Shared {
-    fn try_pop(&self, q: usize, own: bool) -> Option<JobRef> {
-        let job = {
-            let mut guard = self.queues[q].lock().unwrap();
-            if own {
-                guard.pop_front()
-            } else {
-                guard.pop_back()
-            }
-        };
-        if job.is_some() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-        }
-        job
-    }
-
-    /// Pop any job, NUMA-locally: the caller's own deque from the front,
-    /// then the rest of its home node's deques, then remote nodes — all
-    /// steals from the back.
+    /// Pop any job: scan from `home` (a worker's own deque first, from the
+    /// front), stealing from the back of the deques after it in turn.
     fn pop_job(&self, home: usize) -> Option<JobRef> {
-        if let Some(job) = self.try_pop(home, true) {
-            return Some(job);
-        }
-        let nodes = self.node_queues.len();
-        let home_node = self.queue_node.get(home).copied().unwrap_or(0);
-        for off in 0..nodes {
-            let node = (home_node + off) % nodes;
-            for &q in &self.node_queues[node] {
-                if q == home {
-                    continue;
+        let k = self.queues.len();
+        for off in 0..k {
+            let i = (home + off) % k;
+            let job = {
+                let mut q = self.queues[i].lock().unwrap();
+                if off == 0 {
+                    q.pop_front()
+                } else {
+                    q.pop_back()
                 }
-                if let Some(job) = self.try_pop(q, false) {
-                    return Some(job);
-                }
+            };
+            if let Some(job) = job {
+                self.pending.fetch_sub(1, Ordering::Relaxed);
+                return Some(job);
             }
         }
         None
     }
 
-    /// Push one job onto `node`'s deques (round-robin within the node),
-    /// falling forward to the next populated node when `node` has none.
-    /// Does not notify — callers batch the wakeup.
-    fn push_to_node(&self, node: usize, job: JobRef) {
-        let nodes = self.node_queues.len();
-        let mut node = node % nodes;
-        while self.node_queues[node].is_empty() {
-            node = (node + 1) % nodes;
-        }
-        let qs = &self.node_queues[node];
-        let q = qs[self.node_cursors[node].fetch_add(1, Ordering::Relaxed) % qs.len()];
-        self.pending.fetch_add(1, Ordering::Release);
-        self.queues[q].lock().unwrap().push_back(job);
-    }
-
     fn push_jobs(&self, jobs: impl Iterator<Item = JobRef>) {
-        let nodes = self.node_queues.len();
+        let k = self.queues.len();
         let mut pushed = 0usize;
         for job in jobs {
-            let node = self.cursor.fetch_add(1, Ordering::Relaxed) % nodes;
-            self.push_to_node(node, job);
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed) % k;
+            self.pending.fetch_add(1, Ordering::Release);
+            self.queues[i].lock().unwrap().push_back(job);
             pushed += 1;
         }
         if pushed > 0 {
@@ -209,16 +160,9 @@ impl Pool {
         self.start.call_once(|| {
             for i in 0..self.shared.queues.len() {
                 let shared = Arc::clone(&self.shared);
-                let node = self.shared.queue_node[i];
                 std::thread::Builder::new()
                     .name(format!("parcc-worker-{i}"))
-                    .spawn(move || {
-                        crate::topology::set_current_node(node);
-                        // Advisory: an EINVAL/EPERM here just leaves the
-                        // worker unpinned.
-                        crate::topology::pin_current_thread(node);
-                        worker_loop(shared, i);
-                    })
+                    .spawn(move || worker_loop(shared, i))
                     .expect("failed to spawn pool worker");
             }
         });
@@ -273,24 +217,12 @@ fn global() -> &'static Pool {
         // Capacity ≥ 8 lets explicit installs exercise real concurrency on
         // small machines; idle workers park and cost nothing.
         let capacity = default_threads.max(8);
-        let queues: Vec<_> = (0..capacity - 1)
+        let queues = (0..capacity - 1)
             .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        let topo = crate::topology::current();
-        let queue_node: Vec<usize> = (0..queues.len()).map(|w| topo.worker_node(w)).collect();
-        let mut node_queues = vec![Vec::new(); topo.num_nodes()];
-        for (q, &node) in queue_node.iter().enumerate() {
-            node_queues[node].push(q);
-        }
-        let node_cursors = (0..node_queues.len())
-            .map(|_| AtomicUsize::new(0))
             .collect();
         Pool {
             shared: Arc::new(Shared {
                 queues,
-                queue_node,
-                node_queues,
-                node_cursors,
                 pending: AtomicUsize::new(0),
                 gate: Mutex::new(()),
                 cond: Condvar::new(),
@@ -488,162 +420,6 @@ pub(crate) fn run_batch<F: Fn(usize) + Sync>(chunks: usize, f: F) {
     if let Some(payload) = payload {
         resume_unwind(payload);
     }
-}
-
-/// State shared between a sticky batch's executors and its submitter:
-/// chunk indices are pre-banded onto node groups instead of pulled off one
-/// global counter.
-struct StickyState {
-    /// Per node: the `[lo, hi)` chunk band it owns.
-    bands: Vec<(usize, usize)>,
-    /// Per node: positions claimed within its band (monotonic).
-    next: Vec<AtomicUsize>,
-    /// Total chunks in the batch.
-    chunks: usize,
-    /// Chunks fully executed.
-    done: AtomicUsize,
-    /// Pushed executor jobs that have been popped and finished.
-    executors_done: AtomicUsize,
-    /// Executor jobs pushed (`executors_done`'s target).
-    helpers: usize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Submitter's install override, inherited by every executor.
-    inherit: usize,
-    /// For waking a parked submitter on completion.
-    shared: &'static Shared,
-}
-
-struct StickyTask<'a, F> {
-    f: &'a F,
-    state: &'a StickyState,
-}
-
-/// Drain a sticky batch from the perspective of a thread homed at node
-/// `start`: exhaust the home band, then steal from remote bands in node
-/// order. One pass over the bands is complete — band cursors are monotonic,
-/// so a band observed empty stays empty.
-fn drain_bands<F: Fn(usize) + Sync>(f: &F, state: &StickyState, start: usize) {
-    let groups = state.bands.len();
-    for off in 0..groups {
-        let node = (start + off) % groups;
-        let (lo, hi) = state.bands[node];
-        loop {
-            let i = lo + state.next[node].fetch_add(1, Ordering::Relaxed);
-            if i >= hi {
-                break;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                state.panic.lock().unwrap().get_or_insert(payload);
-            }
-            if state.done.fetch_add(1, Ordering::Release) + 1 == state.chunks {
-                state.shared.notify_all();
-            }
-        }
-    }
-}
-
-/// Type-erased executor for a sticky batch. Drains bands starting from the
-/// *executing* thread's node, so whichever worker pops the job prefers the
-/// chunks banded to its own node.
-///
-/// # Safety
-/// `ptr` must point to a live `StickyTask<F>` and be executed at most once.
-unsafe fn exec_sticky<F: Fn(usize) + Sync>(ptr: *const ()) {
-    // SAFETY: per the contract above.
-    let task = unsafe { &*ptr.cast::<StickyTask<'_, F>>() };
-    let prev = set_override(task.state.inherit);
-    drain_bands(task.f, task.state, crate::topology::current_node());
-    set_override(prev);
-    // Copy out of the state *before* publishing completion (see
-    // `exec_batch`): the fetch_add below must be the final access.
-    let helpers = task.state.helpers;
-    let shared = task.state.shared;
-    if task.state.executors_done.fetch_add(1, Ordering::Release) + 1 == helpers {
-        shared.notify_all();
-    }
-}
-
-/// Sticky variant of [`run_batch`]: run `f(0)..f(chunks-1)` exactly once
-/// each, with chunk `i` banded to node group `i * nodes / chunks`. Repeated
-/// sticky batches over the same chunk count therefore hand chunk `i` to a
-/// stable worker group (warm caches for per-shard work), while cross-band
-/// stealing keeps the schedule work-conserving. With one effective thread
-/// this is bit-for-bit the sequential `for i in 0..chunks` schedule.
-pub(crate) fn run_batch_sticky<F: Fn(usize) + Sync>(chunks: usize, f: F) {
-    let helpers = effective_threads()
-        .saturating_sub(1)
-        .min(chunks.saturating_sub(1));
-    if helpers == 0 {
-        // Sequential: every chunk inline, in index order (band order is
-        // ascending, so this equals the banded order too).
-        for i in 0..chunks {
-            f(i);
-        }
-        return;
-    }
-    let pool = global();
-    pool.ensure_started();
-    let shared: &'static Shared = &pool.shared;
-    let groups = shared.node_queues.len().max(1);
-    let bands: Vec<(usize, usize)> = (0..groups)
-        .map(|g| (chunks * g / groups, chunks * (g + 1) / groups))
-        .collect();
-    let state = StickyState {
-        next: (0..groups).map(|_| AtomicUsize::new(0)).collect(),
-        bands,
-        chunks,
-        done: AtomicUsize::new(0),
-        executors_done: AtomicUsize::new(0),
-        helpers,
-        panic: Mutex::new(None),
-        inherit: OVERRIDE.with(Cell::get),
-        shared,
-    };
-    let tasks: Vec<StickyTask<'_, F>> = (0..helpers)
-        .map(|_| StickyTask {
-            f: &f,
-            state: &state,
-        })
-        .collect();
-    // Target the executor jobs at the nodes *after* the submitter's, so the
-    // submitter's own band is not oversubscribed.
-    let my_node = crate::topology::current_node();
-    let mut pushed = 0usize;
-    for (j, t) in tasks.iter().enumerate() {
-        shared.push_to_node(
-            (my_node + 1 + j) % groups,
-            JobRef {
-                data: std::ptr::from_ref(t).cast(),
-                exec: exec_sticky::<F>,
-            },
-        );
-        pushed += 1;
-    }
-    if pushed > 0 {
-        shared.notify_all();
-    }
-    // The submitter is always one of the batch's executors.
-    drain_bands(&f, &state, my_node);
-    // Wait for both every chunk *and* every pushed executor job (see
-    // `run_batch` for why leftovers would dangle).
-    help_until(shared, || {
-        state.done.load(Ordering::Acquire) == chunks
-            && state.executors_done.load(Ordering::Acquire) == helpers
-    });
-    let payload = state.panic.lock().unwrap().take();
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
-}
-
-/// Number of node groups the pool schedules across (1 until the pool
-/// exists on a single-node box; the detected node count otherwise).
-#[must_use]
-pub fn num_node_groups() -> usize {
-    POOL.get().map_or_else(
-        || crate::topology::current().num_nodes(),
-        |p| p.shared.node_queues.len(),
-    )
 }
 
 /// One-shot deferred closure used by [`join`].

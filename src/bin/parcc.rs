@@ -89,20 +89,6 @@ fn shard_summary(sizes: &[usize]) -> String {
     format!("{} (sizes {shown:?}{ell})", sizes.len())
 }
 
-/// The `topology:` stats line: detected node layout plus whether workers
-/// pin to their home node's cores.
-fn topology_summary() -> String {
-    format!(
-        "{}, pinning {}",
-        rayon::topology::current().summary(),
-        if rayon::topology::pinning_enabled() {
-            "on"
-        } else {
-            "off"
-        }
-    )
-}
-
 /// The `storage:` stats line: which backend the input landed in.
 fn storage_summary(loaded: &LoadedStore) -> String {
     match loaded {
@@ -438,7 +424,6 @@ fn cmd_stats(algo: &dyn ComponentSolver, path: Option<&str>, ooc: bool) -> Resul
     println!("shards:          {}", shard_summary(&loaded.shard_sizes()));
     println!("storage:         {}", storage_summary(&loaded));
     println!("threads:         {}", rayon::current_num_threads());
-    println!("topology:        {}", topology_summary());
     println!("algorithm:       {}", algo.name());
     println!("components:      {}", index.count());
     println!("largest:         {:?}", &sizes[..sizes.len().min(5)]);
@@ -493,7 +478,6 @@ fn cmd_stats_ooc(path: &str) -> Result<(), String> {
         report.file_bytes as f64 / f64::from(1 << 20)
     );
     println!("threads:         {}", rayon::current_num_threads());
-    println!("topology:        {}", topology_summary());
     println!("algorithm:       union-find (out-of-core)");
     println!("components:      {}", index.count());
     println!("largest:         {:?}", &sizes[..sizes.len().min(5)]);
@@ -720,7 +704,8 @@ fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// The `--baseline FILE` regression hook: diff each solver's wall/depth
-/// against a stored `compare --json` output and warn on slowdowns.
+/// against a stored `compare --json` output and warn on slowdowns. Depth
+/// is compared only where it is reproducible (see below).
 /// Returns the warning count. **Warn-only** by default (exit status
 /// unchanged) because wall clocks across machines are not comparable;
 /// `--fail` opts fixed-hardware runners into a hard exit.
@@ -741,6 +726,10 @@ fn warn_regressions(rows: &[solver::CompareRow], path: &str) -> Result<usize, St
             "{path}: no solver entries found (expected stored `parcc compare --json` output)"
         ));
     }
+    // With several threads the simulated depth of the randomized solvers
+    // depends on the schedule, so only a reproducible depth is gated: a
+    // deterministic solver, or any solver at one effective thread.
+    let one_thread = rayon::current_num_threads() == 1;
     let mut warned = 0usize;
     for r in rows {
         let Some((_, base_wall, base_depth)) = base.iter().find(|(n, _, _)| n == r.name) else {
@@ -759,7 +748,8 @@ fn warn_regressions(rows: &[solver::CompareRow], path: &str) -> Result<usize, St
             );
         }
         let depth = r.cost.depth as f64;
-        if r.caps.tracks_cost && *base_depth > 0.0 && depth > base_depth * 1.05 {
+        let reproducible = r.caps.deterministic || one_thread;
+        if r.caps.tracks_cost && reproducible && *base_depth > 0.0 && depth > base_depth * 1.05 {
             warned += 1;
             eprintln!(
                 "warning: {}: depth {depth:.0} vs baseline {base_depth:.0}",

@@ -759,6 +759,78 @@ fn compare_fail_hardens_baseline_warnings() {
     let _ = std::fs::remove_file(&base);
 }
 
+/// The depth gate of `compare --baseline`: at one thread every solver's
+/// simulated depth is reproducible, so a baseline whose depths were
+/// lowered (walls left generous) must warn `depth … vs baseline` and
+/// trip `--fail`.
+#[test]
+fn compare_baseline_gates_one_thread_depth() {
+    let gen = parcc_bin()
+        .args(["gen", "gnp", "300", "5"])
+        .output()
+        .unwrap();
+    assert!(gen.status.success());
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let graph = dir.join(format!("parcc-cli-depth-g-{pid}.txt"));
+    let base = dir.join(format!("parcc-cli-depth-b-{pid}.json"));
+    std::fs::write(&graph, &gen.stdout).unwrap();
+    let base_out = parcc_bin()
+        .args(["--threads", "1", "compare", "--json"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(base_out.status.success(), "compare failed: {base_out:?}");
+
+    // Replace the first numeric `"key": value` on a line with `f(value)`.
+    let rewrite = |line: &str, key: &str, f: &dyn Fn(f64) -> f64| -> String {
+        let needle = format!("\"{key}\": ");
+        let Some(i) = line.find(&needle) else {
+            return line.to_string();
+        };
+        let start = i + needle.len();
+        let end = start + line[start..].find(',').unwrap();
+        let v: f64 = line[start..end].parse().unwrap();
+        format!("{}{}{}", &line[..start], f(v), &line[end..])
+    };
+    let lowered: String = String::from_utf8(base_out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let l = rewrite(l, "wall_ms", &|_| 1e9);
+            format!("{}\n", rewrite(&l, "depth", &|d| (d / 2.0).floor()))
+        })
+        .collect();
+    std::fs::write(&base, lowered).unwrap();
+
+    let run = |fail: bool| {
+        let mut cmd = parcc_bin();
+        cmd.args(["--threads", "1", "compare"]);
+        if fail {
+            cmd.arg("--fail");
+        }
+        cmd.arg("--baseline")
+            .arg(&base)
+            .arg(&graph)
+            .output()
+            .unwrap()
+    };
+    let out = run(false);
+    assert!(out.status.success(), "warn-only by default: {out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.lines()
+            .any(|l| l.contains(": depth ") && l.contains(" vs baseline ")),
+        "lowered depths must warn: {err}"
+    );
+    assert!(!err.contains(": wall "), "walls were generous: {err}");
+    let out = run(true);
+    assert_eq!(out.status.code(), Some(1), "--fail must exit 1: {out:?}");
+
+    let _ = std::fs::remove_file(&graph);
+    let _ = std::fs::remove_file(&base);
+}
+
 /// The policy loop end to end: `compare --json` runs feed `parcc tune`,
 /// the emitted policy file parses back through `--policy`, and a bad or
 /// misplaced `--policy` dies up front.
@@ -881,88 +953,4 @@ fn gen_reports_clamps_and_honours_avg_degree() {
         .output()
         .unwrap();
     assert!(!out.status.success(), "negative avg-deg must fail");
-}
-
-/// `parcc stats` reports the detected topology; `PARCC_TOPOLOGY` forces a
-/// synthetic layout that the same line must reflect.
-#[test]
-fn stats_prints_topology_and_honours_synthetic_override() {
-    let gen = parcc_bin().args(["gen", "cycle", "64"]).output().unwrap();
-    assert!(gen.status.success());
-    let tmp = std::env::temp_dir().join(format!("parcc-cli-topo-{}.txt", std::process::id()));
-    std::fs::write(&tmp, &gen.stdout).unwrap();
-
-    let out = parcc_bin().arg("stats").arg(&tmp).output().unwrap();
-    assert!(out.status.success(), "stats failed: {out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    let topo = text
-        .lines()
-        .find_map(|l| l.strip_prefix("topology:"))
-        .expect("stats must print a topology line")
-        .trim()
-        .to_string();
-    assert!(
-        topo.contains("node") && topo.contains("core") && topo.contains("pinning"),
-        "topology line must name nodes, cores and pinning state, got: {topo}"
-    );
-
-    let out = parcc_bin()
-        .env("PARCC_TOPOLOGY", "2x2")
-        .arg("stats")
-        .arg(&tmp)
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&tmp);
-    assert!(out.status.success(), "stats under override failed: {out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    let topo = text
-        .lines()
-        .find_map(|l| l.strip_prefix("topology:"))
-        .expect("topology line under override")
-        .trim()
-        .to_string();
-    assert!(
-        topo.contains("2 nodes x 2 cores") && topo.contains("synthetic"),
-        "override must surface the synthetic 2x2 layout, got: {topo}"
-    );
-    assert!(
-        topo.contains("pinning off"),
-        "synthetic topologies must never pin, got: {topo}"
-    );
-}
-
-/// Worker pinning is a placement hint, not a semantic switch: one-thread
-/// label output must be byte-identical with `PARCC_PIN` on and off.
-/// (The flag is read once per process, so the comparison needs two
-/// subprocesses.)
-#[test]
-fn pinning_toggle_does_not_change_one_thread_output() {
-    let gen = parcc_bin()
-        .args(["gen", "gnp", "400", "9"])
-        .output()
-        .unwrap();
-    assert!(gen.status.success());
-    let tmp = std::env::temp_dir().join(format!("parcc-cli-pin-{}.txt", std::process::id()));
-    std::fs::write(&tmp, &gen.stdout).unwrap();
-
-    let run = |pin: &str| {
-        let out = parcc_bin()
-            .env("PARCC_PIN", pin)
-            .args(["--threads", "1", "labels"])
-            .arg(&tmp)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "labels PARCC_PIN={pin} failed: {out:?}"
-        );
-        out.stdout
-    };
-    let pinned = run("1");
-    let unpinned = run("0");
-    let _ = std::fs::remove_file(&tmp);
-    assert_eq!(
-        pinned, unpinned,
-        "PARCC_PIN must not change the 1-thread schedule's output"
-    );
 }
