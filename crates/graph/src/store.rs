@@ -320,8 +320,8 @@ impl GraphStore for ShardedGraph {
     /// directed half-edges in parallel, the per-shard halves are
     /// concatenated in shard order, and offsets come from the lazily
     /// merged degree vector. Same packing and finish as the flat
-    /// backend's parallel path ([`Csr::half_words`] /
-    /// [`Csr::from_degrees_and_halves`]), so the layout is a pure
+    /// backend's parallel path (`Csr::half_words` /
+    /// `Csr::from_degrees_and_halves`), so the layout is a pure
     /// function of the edge multiset.
     fn csr(&self) -> Csr {
         Csr::from_degrees_and_halves(

@@ -9,29 +9,23 @@
 //! staging overhead. The sniff therefore checks, in increasing cost order:
 //!
 //! 1. **m/n ratio** — skip the probe entirely on sparse inputs (average
-//!    degree over non-isolated vertices below the policy's
-//!    `dense_avg_deg` gate, default 4); they go to `paper`.
+//!    degree over non-isolated vertices below `DENSE_AVG_DEG` = 4); they
+//!    go to `paper`.
 //! 2. **degree histogram** — the store's cached degrees give the
 //!    non-isolated vertex count (isolated vertices are free for every
 //!    solver and would dilute the density signal).
 //! 3. **diameter probe** — a two-sweep BFS lower bound from a couple of
 //!    random *non-isolated* roots (an isolated root returns a vacuous
 //!    `est = 0` that certifies nothing, so roots resample away from
-//!    degree-0 vertices). Only if the estimate stays within the policy's
-//!    cap (default `2·log₂ n + 4`) does `label-prop` get the job.
-//!
-//! Both gates read the active [`Policy`] (`--policy FILE` /
-//! `PARCC_POLICY`, refit by `parcc tune`), with defaults identical to the
-//! v1 constants.
+//!    degree-0 vertices). Only if the estimate stays within
+//!    `2·⌈log₂ n⌉ + 4` does `label-prop` get the job.
 //!
 //! The two-sweep estimate is a *lower* bound, so an adversarial input can
 //! still fool step 3 into picking `label-prop` on a large-diameter graph;
 //! that costs rounds, never correctness, and the families in the zoo
 //! estimate near-exactly. It also means the dispatcher cannot *promise*
-//! polylog rounds — `caps()` reports that honestly. Heuristic v2 (learned
-//! dispatch over `SolveReport` telemetry) is a ROADMAP follow-up.
+//! polylog rounds — `caps()` reports that honestly.
 
-use crate::policy::{self, Policy};
 use parcc_baselines::LabelPropSolver;
 use parcc_core::PaperSolver;
 use parcc_graph::solver::{ComponentSolver, SolveCtx, SolveReport, SolverCaps};
@@ -39,6 +33,10 @@ use parcc_graph::store::GraphStore;
 use parcc_graph::traverse::{bfs, UNREACHED};
 use parcc_graph::{Csr, Graph};
 use parcc_pram::rng::Stream;
+
+/// Average degree (over non-isolated vertices) below which the diameter
+/// probe is skipped and `paper` chosen outright.
+const DENSE_AVG_DEG: f64 = 4.0;
 
 /// Two-sweep BFS tries for the diameter probe.
 const PROBE_TRIES: u32 = 2;
@@ -93,11 +91,9 @@ fn two_sweep(csr: &Csr, degrees: &[u32], n: usize, tries: u32, seed: u64) -> u32
         .unwrap_or(0)
 }
 
-/// Run the sniff against the active [`Policy`]'s gates. `degrees` comes
-/// from the store's cached histogram; `csr` is only invoked when the
-/// density gate passes.
+/// Run the sniff. `degrees` comes from the store's cached histogram;
+/// `csr` is only invoked when the density gate passes.
 fn pick(n: usize, m: usize, degrees: &[u32], csr: &dyn Fn() -> Csr, seed: u64) -> Choice {
-    let pol: Policy = policy::active();
     if n == 0 || m == 0 {
         return Choice {
             delegate: &PaperSolver,
@@ -106,13 +102,14 @@ fn pick(n: usize, m: usize, degrees: &[u32], csr: &dyn Fn() -> Csr, seed: u64) -
     }
     let touched = degrees.iter().filter(|&&d| d > 0).count().max(1);
     let avg_deg = 2.0 * m as f64 / touched as f64;
-    if avg_deg < pol.dense_avg_deg {
+    if avg_deg < DENSE_AVG_DEG {
         return Choice {
             delegate: &PaperSolver,
             probe: format!("avg_deg={avg_deg:.1} (sparse)"),
         };
     }
-    let cap = pol.probe_cap(n);
+    // Largest diameter estimate that still goes to label-prop.
+    let cap = 2 * parcc_pram::cost::ceil_log2(n.max(2) as u64) + 4;
     let est = u64::from(two_sweep(&csr(), degrees, n, PROBE_TRIES, seed));
     if est <= cap {
         Choice {

@@ -13,34 +13,36 @@
 //!   arena-pooled bitset scan): its per-round shrink is the contraction
 //!   rate.
 //!
-//! When the shrink falls below the policy's `switch_shrink` (or the hard
-//! `max_sweeps` cap trips), sweeping has stopped paying — the remainder is
-//! the stubborn high-diameter core. The run then **contracts in place**:
-//! relabel every edge by its endpoints' sweep labels, drop loops, simplify
-//! through a [`SolverArena`] (`simplify_edges_into`, zero steady-state
-//! allocations per the PR 5 contract), renumber the surviving labels
-//! densely, and hand the kernel graph to the policy's delegate (`paper` by
-//! default, `ltz` selectable). Kernel labels map back through the
-//! contraction; canonicality survives because sweep labels sit in the same
-//! component as the vertices they label.
+//! When the shrink falls below `SWITCH_SHRINK` = 0.25 after at least
+//! `MIN_SWEEPS` = 2 sweeps (or the hard `MAX_SWEEPS` = 64 cap trips),
+//! sweeping has stopped paying — the remainder is the stubborn
+//! high-diameter core. The run then **contracts in place**: relabel every
+//! edge by its endpoints' sweep labels, drop loops, simplify through a
+//! [`SolverArena`] (`simplify_edges_into`, zero steady-state allocations),
+//! renumber the surviving labels densely, and hand the kernel graph to the
+//! `paper` pipeline. Kernel labels map back through the contraction;
+//! canonicality survives because sweep labels sit in the same component as
+//! the vertices they label.
 //!
 //! Why the rounds stay bounded: continuing to sweep *requires* the live
-//! count to shrink geometrically (factor `1 − switch_shrink` per round),
+//! count to shrink geometrically (factor `1 − SWITCH_SHRINK` per round),
 //! so the sweep phase runs `O(log n)` rounds on any input before the rate
-//! gate fires — `max_sweeps` is a belt on top of that — and the delegate
-//! is polylog. On a `side × side` mesh the rate gate fires after a small
-//! *side-independent* number of sweeps (live count falls as `n/t²`, so the
-//! per-round shrink decays like `1/t`), which is exactly the workload
-//! where pure label-prop pays `Θ(side)` rounds. On a low-diameter
+//! gate fires — `MAX_SWEEPS` is a belt on top of that — and the kernel
+//! solve is polylog. On a `side × side` mesh the rate gate fires after a
+//! small *side-independent* number of sweeps (live count falls as `n/t²`,
+//! so the per-round shrink decays like `1/t`), which is exactly the
+//! workload where pure label-prop pays `Θ(side)` rounds. On a low-diameter
 //! powerlaw graph the frontier hits zero in `d + 1` sweeps and the paper
 //! pipeline's staging never runs at all.
 //!
+//! The gates are constants, not knobs: the switch already adapts to the
+//! contraction rate each run observes, just as the paper's bound needs no
+//! prior knowledge of the spectral gap λ.
+//!
 //! Every phase lands in [`SolveReport::phases`] (rounds, live edges, wall,
 //! allocs), so `parcc stats`, `compare --json`, and E19 show *when* the
-//! switch happened and what it cost — the signal `parcc tune` refits the
-//! [`Policy`] from.
+//! switch happened and what it cost.
 
-use crate::policy::{self, Delegate, Policy};
 use parcc_baselines::HashMinSweep;
 use parcc_core::full::connectivity_sharded;
 use parcc_core::Params;
@@ -48,24 +50,46 @@ use parcc_graph::incremental::BatchedUpdate;
 use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::store::{concat_edges, GraphStore};
 use parcc_graph::Graph;
-use parcc_ltz::{ltz_connectivity, LtzParams};
 use parcc_pram::alloc_track;
 use parcc_pram::cost::CostTracker;
 use parcc_pram::edge::{Edge, Vertex};
-use parcc_pram::forest::ParentForest;
 use parcc_pram::primitives::{compact_map_into, count_distinct_labels, simplify_edges_into};
 use parcc_pram::SolverArena;
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// Keep sweeping while the live-component count shrinks by at least this
+/// fraction per round; below it, contract and solve the kernel.
+const SWITCH_SHRINK: f64 = 0.25;
+/// Sweeps always granted before the shrink gate applies (the first
+/// round's shrink is huge and uninformative on most inputs).
+const MIN_SWEEPS: u64 = 2;
+/// Hard sweep cap: switch regardless of the observed rate.
+const MAX_SWEEPS: u64 = 64;
+
+/// The sweep-phase gates. The registry entry always runs [`GATES`]; the
+/// unit tests move them to force the rate, cap and contraction paths.
+#[derive(Clone, Copy)]
+struct Gates {
+    switch_shrink: f64,
+    min_sweeps: u64,
+    max_sweeps: u64,
+}
+
+const GATES: Gates = Gates {
+    switch_shrink: SWITCH_SHRINK,
+    min_sweeps: MIN_SWEEPS,
+    max_sweeps: MAX_SWEEPS,
+};
 
 /// Why the sweep phase ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Switch {
     /// Frontier hit zero: sweep labels are the answer, no delegation.
     Converged,
-    /// Live-component shrink fell below `switch_shrink`.
+    /// Live-component shrink fell below the shrink gate.
     Rate,
-    /// `max_sweeps` tripped before the rate gate.
+    /// The sweep cap tripped before the rate gate.
     Cap,
 }
 
@@ -97,7 +121,7 @@ fn sweep_phase(
     sweep: &mut HashMinSweep,
     edges: &[Edge],
     arena: &mut SolverArena,
-    pol: &Policy,
+    gates: Gates,
     tracker: &CostTracker,
     trace: &mut Trace,
 ) -> Switch {
@@ -113,10 +137,10 @@ fn sweep_phase(
         let live = count_distinct_labels(sweep.labels(), arena, tracker);
         trace.last_shrink = 1.0 - live as f64 / live_before.max(1) as f64;
         live_before = live;
-        if trace.sweeps >= pol.max_sweeps {
+        if trace.sweeps >= gates.max_sweeps {
             break Switch::Cap;
         }
-        if trace.sweeps >= pol.min_sweeps && trace.last_shrink < pol.switch_shrink {
+        if trace.sweeps >= gates.min_sweeps && trace.last_shrink < gates.switch_shrink {
             break Switch::Rate;
         }
     };
@@ -194,34 +218,22 @@ fn contract_phase(
     (kernel, map, reps)
 }
 
-/// Solve the kernel with the policy delegate; returns kernel labels and the
-/// delegate's round count. Charges straight into `hybrid`'s own tracker so
-/// the reported cost is the whole run's.
+/// Solve the kernel with the paper pipeline; returns kernel labels and
+/// its phase count. Charges straight into `hybrid`'s own tracker so the
+/// reported cost is the whole run's.
 fn kernel_phase(
     k: usize,
     kernel: Vec<Edge>,
-    delegate: Delegate,
     seed: u64,
     tracker: &CostTracker,
     trace: &mut Trace,
 ) -> (Vec<Vertex>, u64) {
     let (t0, a0) = (Instant::now(), alloc_track::allocation_count());
     let kernel_m = kernel.len() as u64;
-    trace.delegate = delegate.name();
-    let (klabels, rounds) = match delegate {
-        Delegate::Paper => {
-            let params = Params::for_n(k).with_seed(seed);
-            let (labels, stats) = connectivity_sharded(k, &[kernel.as_slice()], &params, tracker);
-            (labels, stats.phases.len() as u64)
-        }
-        Delegate::Ltz => {
-            let forest = ParentForest::new(k);
-            let params = LtzParams::for_n(k).with_seed(seed);
-            let stats = ltz_connectivity(kernel, &forest, params, tracker);
-            forest.flatten(tracker);
-            (forest.labels(tracker), stats.rounds)
-        }
-    };
+    trace.delegate = "paper";
+    let params = Params::for_n(k).with_seed(seed);
+    let (klabels, stats) = connectivity_sharded(k, &[kernel.as_slice()], &params, tracker);
+    let rounds = stats.phases.len() as u64;
     trace.phases.push(PhaseStat {
         name: "kernel",
         rounds,
@@ -232,10 +244,10 @@ fn kernel_phase(
     (klabels, rounds)
 }
 
-/// The full adaptive run against an explicit [`Policy`] — the seam the
-/// switch-boundary tests drive directly (the registry entry reads
-/// [`policy::active`]).
-pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy) -> SolveReport {
+/// The full adaptive run against explicit gates — the seam the
+/// switch-boundary tests drive directly (the registry entry passes
+/// [`GATES`]).
+fn solve_with(n: usize, edges: &[Edge], ctx: &SolveCtx, gates: Gates) -> SolveReport {
     let mut trace = Trace::default();
     let report = SolveReport::measure(ctx, |tracker| {
         if n == 0 {
@@ -252,7 +264,7 @@ pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy)
         }
         let mut arena = SolverArena::new();
         let mut sweep = HashMinSweep::new(n);
-        let outcome = sweep_phase(&mut sweep, edges, &mut arena, pol, tracker, &mut trace);
+        let outcome = sweep_phase(&mut sweep, edges, &mut arena, gates, tracker, &mut trace);
         if outcome == Switch::Converged {
             // Fixpoint labels are per-component minima: already canonical.
             trace.delegate = "none";
@@ -260,14 +272,7 @@ pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy)
         }
         let labels = sweep.into_labels();
         let (kernel, map, reps) = contract_phase(&labels, edges, &mut arena, tracker, &mut trace);
-        let (klabels, krounds) = kernel_phase(
-            reps.len(),
-            kernel,
-            pol.delegate,
-            ctx.seed,
-            tracker,
-            &mut trace,
-        );
+        let (klabels, krounds) = kernel_phase(reps.len(), kernel, ctx.seed, tracker, &mut trace);
         // Map back: v → its label's kernel component's representative
         // vertex. Canonical because every kernel node lies in the original
         // component of the vertices it absorbed.
@@ -296,7 +301,7 @@ impl ComponentSolver for HybridSolver {
         "hybrid"
     }
     fn description(&self) -> &'static str {
-        "adaptive: HashMin sweeps while contraction is fast, then contract + delegate (policy-tuned)"
+        "adaptive: HashMin sweeps while contraction is fast, then contract + delegate"
     }
     fn caps(&self) -> SolverCaps {
         SolverCaps {
@@ -304,23 +309,21 @@ impl ComponentSolver for HybridSolver {
             seeded: true,
             parallel: true,
             // Continuing to sweep requires geometric live-count decay, so
-            // the sweep phase is O(log n) rounds under any policy with
-            // switch_shrink > 0 (and max_sweeps-capped regardless); the
-            // kernel delegates are polylog.
+            // the sweep phase is O(log n) rounds (and MAX_SWEEPS-capped
+            // regardless); the paper kernel solve is polylog.
             polylog_rounds: true,
             tracks_cost: true,
         }
     }
     fn solve(&self, g: &Graph, ctx: &SolveCtx) -> SolveReport {
-        solve_with_policy(g.n(), g.edges(), ctx, &policy::active())
+        solve_with(g.n(), g.edges(), ctx, GATES)
     }
 
     /// Shard-native enough: one exact-size concat (the sweep wants a flat
     /// slice to scan every round), then the same adaptive run.
     fn solve_store(&self, store: &dyn GraphStore, ctx: &SolveCtx) -> SolveReport {
         let edges = concat_edges(store);
-        solve_with_policy(store.n(), &edges, ctx, &policy::active())
-            .note("store_shards", store.shard_count())
+        solve_with(store.n(), &edges, ctx, GATES).note("store_shards", store.shard_count())
     }
 }
 
@@ -348,8 +351,8 @@ mod tests {
         }
     }
 
-    fn check(g: &Graph, pol: &Policy) -> SolveReport {
-        let r = solve_with_policy(g.n(), g.edges(), &SolveCtx::with_seed(3), pol);
+    fn check(g: &Graph, gates: Gates) -> SolveReport {
+        let r = solve_with(g.n(), g.edges(), &SolveCtx::with_seed(3), gates);
         assert!(same_partition(&r.labels, &components(g)), "wrong partition");
         assert_canonical(&r);
         r
@@ -358,7 +361,7 @@ mod tests {
     #[test]
     fn all_fast_contracting_converges_without_delegation() {
         // Tiny diameter: the frontier dies before the rate gate can fire.
-        let r = check(&gen::complete(64), &Policy::default());
+        let r = check(&gen::complete(64), GATES);
         assert_eq!(note(&r, "switch"), "converged");
         assert_eq!(note(&r, "delegate"), "none");
         assert_eq!(r.phases.len(), 1, "sweep phase only");
@@ -369,13 +372,13 @@ mod tests {
     fn never_contracting_switches_at_min_sweeps() {
         // switch_shrink = 0.6: a path shrinks ~1/3 per round once rolling,
         // so the rate gate fires at the first eligible check.
-        let pol = Policy {
+        let gates = Gates {
             switch_shrink: 0.6,
-            ..Policy::default()
+            ..GATES
         };
-        let r = check(&gen::path(400), &pol);
+        let r = check(&gen::path(400), gates);
         assert_eq!(note(&r, "switch"), "rate");
-        assert_eq!(note(&r, "sweeps"), pol.min_sweeps.to_string());
+        assert_eq!(note(&r, "sweeps"), MIN_SWEEPS.to_string());
         assert_eq!(note(&r, "delegate"), "paper");
         let names: Vec<_> = r.phases.iter().map(|p| p.name).collect();
         assert_eq!(names, vec!["sweep", "contract", "kernel"]);
@@ -383,12 +386,12 @@ mod tests {
 
     #[test]
     fn cap_bounds_sweeps_when_the_rate_gate_is_disabled() {
-        let pol = Policy {
+        let gates = Gates {
             switch_shrink: 0.0, // rate gate never fires
             max_sweeps: 3,
-            ..Policy::default()
+            ..GATES
         };
-        let r = check(&gen::path(400), &pol);
+        let r = check(&gen::path(400), gates);
         assert_eq!(note(&r, "switch"), "cap");
         assert_eq!(note(&r, "sweeps"), "3");
         assert!(r.rounds.unwrap() > 3, "kernel rounds add on");
@@ -402,7 +405,7 @@ mod tests {
         let mut sweeps = Vec::new();
         for side in [24usize, 48] {
             let g = gen::grid2d(side, side, false);
-            let r = check(&g, &Policy::default());
+            let r = check(&g, GATES);
             assert_eq!(note(&r, "switch"), "rate", "side {side}");
             sweeps.push(note(&r, "sweeps").parse::<u64>().unwrap());
             assert!(
@@ -416,26 +419,13 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let pol = Policy::default();
-        let r = check(&Graph::new(0, vec![]), &pol);
+        let r = check(&Graph::new(0, vec![]), GATES);
         assert_eq!(note(&r, "switch"), "empty");
-        let r = check(&Graph::new(1, vec![]), &pol);
+        let r = check(&Graph::new(1, vec![]), GATES);
         assert_eq!(note(&r, "switch"), "no-edges");
         assert_eq!(r.labels, vec![0]);
-        let r = check(&Graph::new(5, vec![]), &pol);
+        let r = check(&Graph::new(5, vec![]), GATES);
         assert_eq!(r.component_count(), 5);
-    }
-
-    #[test]
-    fn ltz_delegate_is_selectable_and_correct() {
-        let pol = Policy {
-            delegate: Delegate::Ltz,
-            switch_shrink: 0.9, // force an early switch so the kernel runs
-            ..Policy::default()
-        };
-        let r = check(&gen::grid2d(20, 20, false), &pol);
-        assert_eq!(note(&r, "delegate"), "ltz");
-        assert_eq!(r.phases.last().unwrap().name, "kernel");
     }
 
     #[test]
@@ -460,10 +450,10 @@ mod tests {
     #[test]
     fn isolated_vertices_survive_the_contraction_roundtrip() {
         let g = gen::with_isolated(&gen::grid2d(12, 12, false), 300);
-        let pol = Policy {
+        let gates = Gates {
             switch_shrink: 0.9, // force the contraction path
-            ..Policy::default()
+            ..GATES
         };
-        check(&g, &pol);
+        check(&g, gates);
     }
 }

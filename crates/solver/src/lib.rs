@@ -22,9 +22,10 @@
 //! | `auto` | input-sniffing dispatch ([`auto::AutoSolver`]) | delegate's | delegate's |
 //! | `hybrid` | adaptive sweep→contract→delegate ([`hybrid::HybridSolver`]) | `O(m·sweeps) + delegate's` | `O(log n) + delegate's` |
 //!
-//! The adaptive entries (`auto`, `hybrid`) read their thresholds from the
-//! refittable [`policy`] module (`--policy FILE` / `PARCC_POLICY`,
-//! emitted by `parcc tune`).
+//! The adaptive entries (`auto`, `hybrid`) decide from what the input
+//! shows (density and a diameter probe; the observed contraction rate)
+//! against fixed gates: module constants in [`auto`] and [`hybrid`], not
+//! runtime knobs.
 //!
 //! Besides the registry this crate carries the cross-solver drivers:
 //! [`compare`] / [`compare_store`] (run every solver on one graph — flat
@@ -56,7 +57,6 @@ use std::time::Duration;
 pub mod auto;
 pub mod hybrid;
 pub mod ooc;
-pub mod policy;
 pub mod serve;
 
 pub use auto::AutoSolver;
@@ -67,7 +67,6 @@ pub use parcc_graph::mmap::MappedGraph;
 pub use parcc_graph::snapshot::LabelSnapshot;
 pub use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 pub use parcc_graph::store::{GraphStore, ShardedGraph};
-pub use policy::Policy;
 pub use serve::ServeEngine;
 
 /// Every registered solver, in presentation order (the paper's pipelines

@@ -154,7 +154,7 @@ tuple_strategy!(A, B, C, D);
 pub mod collection {
     use super::{Range, Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact `usize` or a `Range<usize>`.
+    /// Length specification for [`vec()`]: an exact `usize` or a `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange(Range<usize>);
 
@@ -170,7 +170,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -11,7 +11,7 @@
 //!
 //! ## Scheduler
 //!
-//! A process-wide pool is created lazily on first parallel use ([`pool`]).
+//! A process-wide pool is created lazily on first parallel use (the `pool` module).
 //! Each worker owns a deque; a batch submitter pushes `threads − 1`
 //! *executor* jobs round-robin and then becomes an executor itself, each
 //! executor pulling chunk indices off the batch's shared counter until none

@@ -204,18 +204,24 @@ fn hybrid_switches_by_regime_and_reports_phases() {
 }
 
 /// Nightly seed sweep (CI cron job `seed-sweep.yml` runs this with
-/// `--ignored`): the seeded solvers stay correct across ≥ 8 master seeds
-/// on the whole degenerate-graph zoo. Too slow for every push, which is
-/// why the per-push suite pins one seed.
+/// `--ignored`): every registered solver whose caps say `seeded` stays
+/// correct across ≥ 8 master seeds on the whole degenerate-graph zoo. Too
+/// slow for every push, which is why the per-push suite pins one seed.
 #[test]
 #[ignore = "nightly seed-sweep; run via cargo test -- --ignored seed_sweep"]
 fn seed_sweep_seeded_solvers_across_the_zoo() {
-    let seeded = ["paper", "known-gap", "ltz", "random-mate"];
+    let seeded: Vec<_> = solver::registry()
+        .iter()
+        .filter(|s| s.caps().seeded)
+        .collect();
+    assert!(
+        seeded.len() >= 6,
+        "paper, known-gap, ltz, random-mate, auto, hybrid"
+    );
     for seed in 0..8u64 {
         for (name, g) in zoo(seed ^ 0xA5A5) {
             let oracle = solver::oracle_labels(&g);
-            for s in seeded {
-                let s = solver::find(s).expect("registered");
+            for s in &seeded {
                 let r = s.solve(&g, &SolveCtx::with_seed(seed));
                 assert!(
                     parcc::graph::traverse::same_partition(&r.labels, &oracle),
