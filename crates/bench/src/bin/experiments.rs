@@ -1,4 +1,5 @@
-//! Regenerate every experiment table from EXPERIMENTS.md.
+//! Regenerate every experiment table (the runners in
+//! `parcc_bench::experiments`).
 //!
 //! Usage:
 //!   experiments            — full-size tables (minutes)

@@ -1,6 +1,5 @@
-//! Experiment runners E1–E12 (DESIGN.md §6). Each regenerates the series
-//! behind one checkable claim of the paper and returns a printable
-//! [`Table`]. EXPERIMENTS.md records the reference output and the verdicts.
+//! Experiment runners E1–E12. Each regenerates the series behind one
+//! checkable claim of the paper and returns a printable [`Table`].
 //!
 //! Cross-solver comparisons (E12, E14) are driven by the
 //! [`parcc_solver`] registry — adding a solver there adds it to the
@@ -404,7 +403,7 @@ pub fn e9_sampling_pitfall(quick: bool) -> Table {
 
 /// E10 (§3.4/§7): the unknown-λ search — phase trace and REMAIN split.
 ///
-/// Finding (recorded in EXPERIMENTS.md): at benchmarkable scales phase 0
+/// Finding: at benchmarkable scales phase 0
 /// always succeeds — one EXPAND-MAXLINK round compounds ≳16× contraction
 /// (two MAXLINK passes of two iterations each plus a shortcut is pointer
 /// doubling), so any `O(log b)` budget covers any remnant a laptop-sized
@@ -496,14 +495,14 @@ pub fn e10b_forced_phases(quick: bool) -> Table {
     t
 }
 
-/// E13 (ablation, DESIGN.md §6): the doubly-exponential budget schedule is
+/// E13 (ablation): the doubly-exponential budget schedule is
 /// what delivers Theorem 2's `log log n` term. The schedule governs how many
 /// dormancy/level-up waits a vertex needs before its table can hold a large
 /// neighbourhood: `O(log log S)` under the paper's schedule vs `Θ(log S)`
 /// under plain doubling. (End-to-end round counts do *not* separate at
 /// benchmarkable scales — lexicographic MAXLINK hooking already compounds
 /// ≳16× contraction per round, so tables never become the bottleneck; the
-/// honest null result is recorded in EXPERIMENTS.md.)
+/// null result shows in this experiment's own table.)
 #[must_use]
 pub fn e13_budget_ablation(_quick: bool) -> Table {
     use parcc_ltz::{Budget, GrowthSchedule};

@@ -1,6 +1,6 @@
 //! Named workloads shared by the experiment tables, the Criterion benches,
 //! and the integration tests. Each family is chosen to pin one point of the
-//! `(n, m, λ, d)` parameter space (DESIGN.md §3).
+//! `(n, m, λ, d)` parameter space.
 
 use parcc_graph::generators as gen;
 use parcc_graph::solver::SolverCaps;

@@ -457,7 +457,7 @@ pub fn connectivity_sharded(
     }
 
     if !solved {
-        // Library safety pass (DESIGN.md §5): all phases failed — finish the
+        // Library safety pass: all phases failed — finish the
         // remnant current graph directly with Theorem 2.
         let mut remnant = cur.edges.clone();
         alter_edges_with(&forest, &mut remnant, true, &mut arena, tracker);

@@ -1,5 +1,5 @@
 //! Tunable parameters: the practical stand-ins for the paper's asymptotic
-//! constants (DESIGN.md §2).
+//! constants.
 //!
 //! The paper's constants — `b = (log n)^100`, hash tables of size `b^9`,
 //! edge deletion w.p. `10^-4`, `10^6 log log n` rounds — exist to make union
@@ -46,12 +46,13 @@ pub struct Params {
     /// Testing/ablation aid: treat the first `k` phases as failed regardless
     /// of the solve outcome, exercising the guess-fail → revert → E_filter
     /// shrink machinery (§7.1 Steps 5–10), which at benchmarkable scales
-    /// never triggers organically (see EXPERIMENTS.md E10). Default 0.
+    /// never triggers organically (experiment E10). Default 0.
     pub force_phase_failures: u32,
 }
 
 impl Params {
-    /// Defaults for an `n`-vertex input (DESIGN.md §2 table).
+    /// Defaults for an `n`-vertex input; each field's doc gives the paper's
+    /// value.
     #[must_use]
     pub fn for_n(n: usize) -> Self {
         let log_n = ceil_log2(n.max(4) as u64) as u32;

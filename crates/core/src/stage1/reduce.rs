@@ -159,8 +159,8 @@ fn reduce_vec(
         .par_iter()
         .for_each(|&v| scratch.in_vprime.unset(v as usize));
 
-    // Practical cleanup replacing the paper's interleaved shortcut schedule
-    // (see DESIGN.md §3): tree heights are O(1) at this point, so a full
+    // Practical cleanup replacing the paper's interleaved shortcut schedule:
+    // tree heights are O(1) at this point, so a full
     // flatten costs O(n) work over O(1) rounds and certifies Lemma 4.21's
     // post-condition exactly.
     forest.flatten(tracker);

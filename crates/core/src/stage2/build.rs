@@ -11,7 +11,7 @@
 //! work-efficient path (§7.3, Lemma 7.4). Estimated degrees are tallied with
 //! `fetch_add` counters — the CRCW hash-table occupancy tally of the paper
 //! computes the same degree estimate; we charge the paper's `O(log b)`
-//! counting depth (DESIGN.md §3).
+//! counting depth.
 
 use parcc_pram::cost::{ceil_log2, CostTracker};
 use parcc_pram::crcw::Flags;

@@ -2,7 +2,7 @@
 //! of the current graph to ≥ `b`.
 //!
 //! After DENSIFY, vertices re-point at their tree roots (the paper's
-//! `v.p^{(2R+1)}` replay — realized as a bounded root-chase, DESIGN.md §3),
+//! `v.p^{(2R+1)}` replay — realized as a bounded root-chase),
 //! trees are tallied, *heads* (≥ 2b children) absorb non-heads across
 //! `E_close` edges, and a leader/non-leader coin round merges what remains.
 //! Lemma 5.25: every vertex that is still a root afterwards has current-graph

@@ -2,7 +2,7 @@
 //!
 //! The algorithm's behaviour depends on the input only through `(n, m, λ, d)`
 //! — vertex/edge counts, component-wise spectral gap, and diameter — so the
-//! families below are chosen to sweep exactly those axes (DESIGN.md §3):
+//! families below are chosen to sweep exactly those axes:
 //!
 //! * **λ ≈ const (expanders):** [`random_regular`], [`gnp`], [`complete`];
 //!   the paper's headline `O(log log n)`-time regime.
@@ -440,7 +440,7 @@ pub fn with_isolated(g: &Graph, extra: usize) -> Graph {
 /// `1/polylog`-sampled subgraph stays connected w.h.p. but has diameter
 /// `Ω(n/polylog)`.
 ///
-/// Structure (DESIGN.md §3): a backbone path of `2^levels` vertices whose
+/// Structure: a backbone path of `2^levels` vertices whose
 /// consecutive pairs are joined by `bundle` parallel edges (bundles survive
 /// sampling w.h.p., keeping connectivity and the path), plus a balanced
 /// binary tree over the path positions with **single** edges providing the

@@ -6,7 +6,8 @@
 //! black box is [`ltz_connectivity`]; the round budget defaults to a generous
 //! multiple of `log n` and, should it ever be exhausted (the theorem says it
 //! will not be, w.h.p.), the deterministic fallback finishes the contraction
-//! so the library is unconditionally correct (DESIGN.md §5).
+//! so the library is unconditionally correct (see
+//! [`parcc_pram::ops::deterministic_cc_fallback`]).
 
 use crate::round::LtzEngine;
 use crate::state::Budget;

@@ -7,7 +7,7 @@
 //! The arg-max over concurrent neighbours is a priority write, realized with
 //! [`MaxCells`] over packed `(level, vertex)` words.
 //!
-//! **Practical deviation (documented in DESIGN.md §2):** hooking happens on a
+//! **Practical deviation:** hooking happens on a
 //! strictly larger `(level, id)` *pair*, not a strictly larger level alone.
 //! With the paper's huge `β₁ = (log n)^80` budgets, random level-ups break
 //! level symmetry instantly; at practical budgets a level-symmetric graph

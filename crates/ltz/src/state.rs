@@ -4,7 +4,7 @@
 //! holds the *added edges* `(v, w)` discovered by neighbourhood hashing and
 //! graph squaring; its size is the budget `β_{ℓ(v)}` which grows **doubly
 //! exponentially** in the level (paper Eq. (2): `β_ℓ = β₁^{1.01^{ℓ−1}}`,
-//! realized here as `t₁^{g^{ℓ−1}}` with practical `t₁, g` — see DESIGN.md §2).
+//! realized here as `t₁^{g^{ℓ−1}}` with practical `t₁, g` — see [`Budget`]).
 //! After `O(log log n)` level-ups a table can hold any 2-ball, which is where
 //! the `log log n` term of Theorem 2 comes from.
 //!
@@ -81,7 +81,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Defaults tuned for `n ∈ [10³, 10⁷]` (DESIGN.md §2).
+    /// Defaults tuned for `n ∈ [10³, 10⁷]`.
     #[must_use]
     pub fn for_n(n: usize) -> Self {
         Budget {

@@ -77,12 +77,17 @@ impl TagCells {
     /// First-writer-wins claim: succeeds iff the cell was [`EMPTY`].
     ///
     /// (On a CRCW PRAM this is two steps: write, then check the winner; a CAS
-    /// realizes the same contract in one hardware op.)
+    /// realizes the same contract in one hardware op.) A relaxed load runs
+    /// first and turns away a claim on an occupied cell without the CAS, so
+    /// the repeat claims of a scan over edge endpoints read the cache line
+    /// instead of taking it exclusive.
     #[inline]
     pub fn try_claim(&self, i: usize, tag: u64) -> bool {
-        self.cells[i]
-            .compare_exchange(EMPTY, tag, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
+        let cell = &self.cells[i];
+        cell.load(Ordering::Relaxed) == EMPTY
+            && cell
+                .compare_exchange(EMPTY, tag, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
     }
 
     /// Clear one cell.
@@ -310,6 +315,19 @@ mod tests {
         assert!(t.try_claim(0, 5));
         assert!(!t.try_claim(0, 6));
         assert_eq!(t.read(0), 5);
+    }
+
+    #[test]
+    fn try_claim_fails_on_written_cell() {
+        let t = TagCells::new(2);
+        t.write(0, 7);
+        assert!(!t.try_claim(0, 8));
+        assert_eq!(t.read(0), 7);
+        // A cleared cell is claimable again.
+        t.clear(0);
+        assert!(t.try_claim(0, 9));
+        assert_eq!(t.read(0), 9);
+        assert!(t.try_claim(1, 3));
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl ParentForest {
     ///
     /// Used (a) by verification code and (b) as the implementation of the
     /// paper's `v.p^{(2R+1)}` snapshot replay (Def. 5.18) — both compute the
-    /// unique root of `v`'s current tree (see DESIGN.md §3). The caller charges
+    /// unique root of `v`'s current tree. The caller charges
     /// depth `O(max height)`; work is charged here per hop.
     #[must_use]
     pub fn find_root(&self, v: Vertex, tracker: &CostTracker) -> Vertex {

@@ -4,8 +4,7 @@
 //! consistent with the contracting labeled digraph: replace each edge `(u,v)`
 //! by `(u.p, v.p)` and delete the self-loops this creates.
 //!
-//! [`deterministic_cc_fallback`] is the workspace-wide safety net (DESIGN.md
-//! §5): the paper's algorithms terminate within their round budgets w.h.p.;
+//! [`deterministic_cc_fallback`] is the workspace-wide safety net: the paper's algorithms terminate within their round budgets w.h.p.;
 //! if a round-capped loop ever exhausts its budget (it should not — benches
 //! count this), the remaining contraction is finished by a simple
 //! deterministic hook-to-minimum + flatten loop that is unconditionally

@@ -7,8 +7,8 @@
 //! | perfect-hash dedup | `[GMV91]` | `O(log* n)` time, `O(m)` work | canonicalize + sort + adjacent-dedup |
 //! | prefix sum | `[BH89]` lower bound | `Θ(log n / log log n)` | blocked two-pass scan, charged `log n` |
 //!
-//! Each function charges the *paper's* cost to the tracker (see DESIGN.md §3:
-//! identical output contracts, depth charged at the paper's rate), so measured
+//! Each function charges the *paper's* cost to the tracker (identical output
+//! contracts, depth charged at the paper's rate), so measured
 //! depth curves are comparable to the theory even where the multicore
 //! realization differs from the PRAM-optimal circuit.
 //!

@@ -1,6 +1,6 @@
 //! Shape checks on the simulated cost model: the claims of Theorems 1 and 2
 //! at coarse, assertion-safe granularity (precise series live in the bench
-//! harness / EXPERIMENTS.md).
+//! harness's experiment tables).
 
 use parcc::core::{connectivity, Params};
 use parcc::graph::generators as gen;
